@@ -76,9 +76,6 @@ def main():
     cmd = [os.path.join(out, "perfbench"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
-    if args.trace:
-        cmd += ["--trace-file", os.path.join(
-            out, "trace-%s-%d.json" % (args.workload, args.seed))]
     try:
         done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)

@@ -21,10 +21,6 @@ struct RunOptions {
   uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  /// Dataset size override for quick local tries (0 = the workload's own).
-  uint64_t images = 0;
-  /// Chrome trace_event file for the traced run's spans ("" = none).
-  std::string trace_file;
 };
 
 /// What one workload run hands back to main: metric values by name (the

@@ -66,7 +66,6 @@ void ReplayChunkLayers(dl::tsf::Tensor* tensor, uint64_t max_rows, bool lossy,
         report->Check(false, "replay ReadSample");
         continue;
       }
-      span.set_bytes(static_cast<double>(sample->data.size()));
       raw_bytes += sample->data.size();
       ++images;
     }

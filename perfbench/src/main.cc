@@ -1,7 +1,6 @@
 // perfbench: the repository benchmark program.
 //
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             [--trace-file <path>] [--images <n>]
 //
 // Runs one workload in this process and prints notes followed by one
 // `PERFBENCH_RESULT {...}` line with the operation tally and every metric
@@ -18,7 +17,6 @@
 #include <thread>
 
 #include "common.h"
-#include "span_log.h"
 #include "timing_store.h"
 #include "util/crc32.h"
 
@@ -97,8 +95,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload <train-local-jpeg|"
                "train-s3-raw-shuffled|ingest-commit-mixed> --seed <n> "
-               "--seconds <s> --trace <0|1> [--trace-file <path>] "
-               "[--images <n>]\n");
+               "--seconds <s> --trace <0|1>\n");
   return 2;
 }
 
@@ -119,10 +116,6 @@ int main(int argc, char** argv) {
       options.seconds = std::atof(value);
     } else if (flag == "--trace") {
       options.trace = std::atoi(value) != 0;
-    } else if (flag == "--trace-file") {
-      options.trace_file = value;
-    } else if (flag == "--images") {
-      options.images = std::strtoull(value, nullptr, 10);
     } else {
       return Usage();
     }
@@ -146,10 +139,6 @@ int main(int argc, char** argv) {
 
   Report report = run(options);
   CheckDecoratorForwards(&report);
-  if (options.trace && !options.trace_file.empty() &&
-      !SpanLog::Global().WriteChromeTrace(options.trace_file)) {
-    report.Note("could not write " + options.trace_file);
-  }
   for (const auto& note : report.notes) std::printf("  %s\n", note.c_str());
   std::printf("PERFBENCH_RESULT {\"attempted\": %llu, \"failed\": %llu, "
               "\"metrics\": {",

@@ -1,11 +1,10 @@
 #ifndef PERFBENCH_SPAN_LOG_H_
 #define PERFBENCH_SPAN_LOG_H_
 
-// The benchmark's own span recorder. The traced run wraps each call into a
-// layer's public functions in a span (name, start, end, the span
-// that caused it); per-layer metrics are aggregated from these spans, and
-// the spans are written out as a Chrome trace_event file when the run
-// ends. Untraced runs leave the log disabled, so a span costs one relaxed
+// The benchmark's own span recorder. The traced run wraps calls into a
+// layer's public functions in a span, and per-layer metrics are aggregated
+// from the spans' durations by name. Each thread appends to a buffer of its
+// own. Untraced runs leave the log disabled, so a span costs one relaxed
 // load. The program's own obs::TraceRecorder is never enabled.
 
 #include <atomic>
@@ -20,13 +19,8 @@
 namespace perfbench {
 
 struct Span {
-  const char* name;   // "<layer>.<op>", a string literal
-  int64_t start_us;
-  int64_t end_us;
-  uint64_t id;
-  uint64_t parent;    // 0 = root
-  uint64_t trace;     // request the span belongs to (0 = none)
-  double bytes;       // payload moved by the op, where there is one
+  const char* name;  // "<layer>.<op>", a string literal
+  int64_t duration_us;
 };
 
 class SpanLog {
@@ -39,117 +33,63 @@ class SpanLog {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
-  uint64_t NextId() { return next_id_.fetch_add(1) + 1; }
+  void Record(const Span& span) { ThreadBuffer().push_back(span); }
 
-  void Record(const Span& span) { ThreadBuffer().spans.push_back(span); }
-
-  /// Spans recorded so far with this name. Call only while no thread is
-  /// recording.
-  std::vector<Span> Named(const std::string& name) const {
-    std::vector<Span> out;
+  /// Durations (in `scale` units per microsecond) of every span named
+  /// `name` recorded so far. Call only while no thread is recording.
+  std::vector<double> Durations(const std::string& name, double scale) const {
+    std::vector<double> out;
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& b : buffers_) {
-      for (const auto& s : b->spans) {
-        if (name == s.name) out.push_back(s);
+    for (const auto& buffer : buffers_) {
+      for (const Span& s : *buffer) {
+        if (name == s.name) {
+          out.push_back(static_cast<double>(s.duration_us) * scale);
+        }
       }
     }
     return out;
   }
 
-  /// Drops recorded spans. Call only while no thread is recording.
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& b : buffers_) b->spans.clear();
-  }
-
-  /// Writes every recorded span as Chrome trace_event JSON.
-  bool WriteChromeTrace(const std::string& path) const;
-
  private:
-  struct Buffer {
-    uint32_t thread = 0;
-    std::vector<Span> spans;
-  };
-
-  Buffer& ThreadBuffer() {
-    thread_local Buffer* buffer = nullptr;
+  std::vector<Span>& ThreadBuffer() {
+    thread_local std::vector<Span>* buffer = nullptr;
     if (buffer == nullptr) {
-      auto owned = std::make_unique<Buffer>();
-      owned->spans.reserve(1024);
-      std::lock_guard<std::mutex> lock(mu_);
-      owned->thread = static_cast<uint32_t>(buffers_.size() + 1);
+      auto owned = std::make_unique<std::vector<Span>>();
+      owned->reserve(1024);
       buffer = owned.get();
+      std::lock_guard<std::mutex> lock(mu_);
       buffers_.push_back(std::move(owned));
     }
     return *buffer;
   }
 
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_id_{0};
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  std::vector<std::unique_ptr<std::vector<Span>>> buffers_;
 };
-
-/// Current trace id and innermost open span of the calling thread.
-struct SpanContext {
-  uint64_t trace = 0;
-  uint64_t parent = 0;
-};
-inline SpanContext& CurrentSpanContext() {
-  thread_local SpanContext ctx;
-  return ctx;
-}
-
-/// Starts a new request on this thread: spans opened until the next call
-/// share its trace id.
-inline void BeginTrace() {
-  if (SpanLog::Global().enabled()) {
-    CurrentSpanContext().trace = SpanLog::Global().NextId();
-  }
-}
 
 /// RAII span around one call into a layer. Inert when the log is off.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) {
-    SpanLog& log = SpanLog::Global();
-    if (!log.enabled()) return;
-    SpanContext& ctx = CurrentSpanContext();
-    span_.name = name;
-    span_.id = log.NextId();
-    span_.parent = ctx.parent;
-    span_.trace = ctx.trace;
-    span_.bytes = 0;
-    saved_parent_ = ctx.parent;
-    ctx.parent = span_.id;
-    active_ = true;
-    span_.start_us = dl::NowMicros();
-  }
+  explicit ScopedSpan(const char* name)
+      : name_(SpanLog::Global().enabled() ? name : nullptr),
+        start_us_(name_ != nullptr ? dl::NowMicros() : 0) {}
   ~ScopedSpan() {
-    if (!active_) return;
-    span_.end_us = dl::NowMicros();
-    CurrentSpanContext().parent = saved_parent_;
-    SpanLog::Global().Record(span_);
+    if (name_ == nullptr) return;
+    SpanLog::Global().Record({name_, dl::NowMicros() - start_us_});
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void set_bytes(double bytes) { span_.bytes = bytes; }
-
  private:
-  Span span_{};
-  uint64_t saved_parent_ = 0;
-  bool active_ = false;
+  const char* name_;
+  int64_t start_us_;
 };
 
 /// Durations (in `scale` units per microsecond) of every span named `name`.
 inline std::vector<double> SpanDurations(const std::string& name,
                                          double scale = 1.0) {
-  std::vector<double> out;
-  for (const Span& s : SpanLog::Global().Named(name)) {
-    out.push_back(static_cast<double>(s.end_us - s.start_us) * scale);
-  }
-  return out;
+  return SpanLog::Global().Durations(name, scale);
 }
 
 }  // namespace perfbench

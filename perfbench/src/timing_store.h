@@ -44,24 +44,24 @@ class TimingStore : public dl::storage::StorageProvider {
   dl::Result<dl::Slice> Get(std::string_view key) override {
     ScopedSpan span("storage.get");
     auto r = base_->Get(key);
-    CountGet(key, r.ok() ? r->size() : 0, &span);
+    CountGet(key, r.ok() ? r->size() : 0);
     return r;
   }
   dl::Result<dl::Slice> GetRange(std::string_view key, uint64_t offset,
                                  uint64_t length) override {
     ScopedSpan span("storage.get");
     auto r = base_->GetRange(key, offset, length);
-    CountGet(key, r.ok() ? r->size() : 0, &span);
+    CountGet(key, r.ok() ? r->size() : 0);
     return r;
   }
   dl::Status Put(std::string_view key, dl::ByteView value) override {
     ScopedSpan span("storage.put");
-    CountPut(value.size(), &span);
+    CountPut(value.size());
     return base_->Put(key, value);
   }
   dl::Status PutDurable(std::string_view key, dl::ByteView value) override {
     ScopedSpan span("storage.put");
-    CountPut(value.size(), &span);
+    CountPut(value.size());
     return base_->PutDurable(key, value);
   }
   bool atomic_durable_puts() const override {
@@ -93,19 +93,17 @@ class TimingStore : public dl::storage::StorageProvider {
   }
 
  private:
-  void CountGet(std::string_view key, uint64_t bytes, ScopedSpan* span) {
+  void CountGet(std::string_view key, uint64_t bytes) {
     gets_.fetch_add(1, std::memory_order_relaxed);
     get_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     // Each dataloader work unit fetches its image chunk once.
     if (key.find("images/chunks/") != std::string_view::npos) {
       image_chunk_gets_.fetch_add(1, std::memory_order_relaxed);
     }
-    span->set_bytes(static_cast<double>(bytes));
   }
-  void CountPut(uint64_t bytes, ScopedSpan* span) {
+  void CountPut(uint64_t bytes) {
     puts_.fetch_add(1, std::memory_order_relaxed);
     put_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    span->set_bytes(static_cast<double>(bytes));
   }
 
   dl::storage::StoragePtr base_;

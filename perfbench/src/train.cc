@@ -96,6 +96,7 @@ struct EpochResult {
   // Consumer-thread accounting: construction, Next(), Stacked(), and the
   // rest of the loop (output checks and bookkeeping).
   double open_s = 0, wait_s = 0, collate_s = 0, loop_s = 0;
+  std::vector<double> next_us;  // each Next() call
   double check_cpu_s = 0;  // consumer CPU spent in the benchmark's checks
   double process_cpu_s = 0;  // whole-process CPU over the epoch
   dl::stream::DataloaderStats stats;
@@ -139,7 +140,6 @@ class TrainRun {
     EpochResult r;
     std::vector<uint8_t> seen(cfg_.images, 0);
     const StoreCounts counts0 = store_->counts();
-    BeginTrace();
     dl::stream::DataloaderOptions opts;
     opts.batch_size = kBatch;
     opts.num_workers = kWorkers;
@@ -158,13 +158,10 @@ class TrainRun {
     // of the epoch's wall time is the stated consumer residual.
     while (true) {
       const int64_t t0 = dl::NowMicros();
-      dl::Result<bool> more = false;
-      {
-        ScopedSpan span("stream.next");
-        more = loader.Next(&batch);
-      }
+      const dl::Result<bool> more = loader.Next(&batch);
       const int64_t t1 = dl::NowMicros();
       r.wait_s += Secs(t1 - t0);
+      r.next_us.push_back(static_cast<double>(t1 - t0));
       end = t1;
       if (!more.ok()) {
         report_->Check(false, "Next: " + more.status().ToString());
@@ -172,16 +169,10 @@ class TrainRun {
       }
       if (!*more) break;
       if (r.rows == 0) r.first_batch_s = Secs(t1 - start);
-      dl::Result<dl::tsf::Sample> images = dl::Status::Unknown("");
-      dl::Result<dl::tsf::Sample> labels = dl::Status::Unknown("");
-      dl::Result<dl::tsf::Sample> ids = dl::Status::Unknown("");
       const int64_t t2 = dl::NowMicros();
-      {
-        ScopedSpan span("stream.collate");
-        images = batch.Stacked("images");
-        labels = batch.Stacked("labels");
-        ids = batch.Stacked("row_id");
-      }
+      const auto images = batch.Stacked("images");
+      const auto labels = batch.Stacked("labels");
+      const auto ids = batch.Stacked("row_id");
       const int64_t t3 = dl::NowMicros();
       r.collate_s += Secs(t3 - t2);
       const int64_t cpu0 = dl::ThreadCpuMicros();
@@ -304,15 +295,17 @@ void SetEndToEnd(const std::vector<EpochResult>& epochs, double setup_s,
                per_epoch);
 }
 
-/// Per-layer metrics from the traced epochs' spans, the decorator's
-/// counts and the loader's public stats. Per-epoch figures are means over
-/// the traced epochs.
+/// Per-layer metrics from the traced epochs: the consumer loop's clocks,
+/// the decorator's storage spans and counts, and the loader's public
+/// stats. Per-epoch figures are means over the traced epochs.
 void SetPerLayer(const std::vector<EpochResult>& epochs, Report* report) {
   const double n = static_cast<double>(epochs.size());
   double wall = 0, fetch = 0, decode = 0, transform = 0, payload = 0;
   double open = 0, wait = 0, collate = 0, loop = 0;
+  std::vector<double> next_us;
   StoreCounts c{};
   for (const auto& e : epochs) {
+    next_us.insert(next_us.end(), e.next_us.begin(), e.next_us.end());
     wall += e.wall_s;
     fetch += Secs(e.stats.fetch_micros);
     decode += Secs(e.stats.decode_micros);
@@ -344,15 +337,13 @@ void SetPerLayer(const std::vector<EpochResult>& epochs, Report* report) {
               Sum(SpanDurations("storage.put")) * 1e-6 / n);
   report->Set("storage.write_amplification", 0);
 
-  const auto next_us = SpanDurations("stream.next");
   std::vector<double> first_ms;
   for (const auto& e : epochs) first_ms.push_back(e.first_batch_s * 1e3);
   report->Set("stream.first_batch_ms", Median(first_ms));
-  report->Set("stream.next.wait_s", Sum(next_us) * 1e-6 / n);
+  report->Set("stream.next.wait_s", wait / n);
   report->Set("stream.next.wait_p50_us", Percentile(next_us, 50));
   report->Set("stream.next.wait_p95_us", Percentile(next_us, 95));
-  report->Set("stream.collate.busy_s",
-              Sum(SpanDurations("stream.collate")) * 1e-6 / n);
+  report->Set("stream.collate.busy_s", collate / n);
   report->Set("stream.worker.fetch_s", fetch / n);
   report->Set("stream.worker.decode_s", decode / n);
   const double worker_capacity = static_cast<double>(kWorkers) * wall;
@@ -430,14 +421,14 @@ Report RunTrain(const TrainConfig& cfg, const RunOptions& options) {
 
 Report RunTrainLocalJpeg(const RunOptions& options) {
   return RunTrain({/*lossy=*/true, /*shuffle=*/false,
-                   options.images > 0 ? options.images : 4000,
+                   /*images=*/4000,
                    dl::sim::NetworkModel::LocalFs()},
                   options);
 }
 
 Report RunTrainS3RawShuffled(const RunOptions& options) {
   return RunTrain({/*lossy=*/false, /*shuffle=*/true,
-                   options.images > 0 ? options.images : 2500,
+                   /*images=*/2500,
                    dl::sim::NetworkModel::S3SameRegion()},
                   options);
 }
