@@ -43,16 +43,45 @@ CodecResult RunCodec(const std::string& compression) {
   return {ingest, bytes, scan_sw.ElapsedSeconds()};
 }
 
+compress::CodecContext SampleContext(const sim::SampleSpec& s) {
+  compress::CodecContext ctx;
+  ctx.row_stride = s.shape[1] * s.shape[2];
+  ctx.elem_size = static_cast<uint32_t>(s.shape[2]);
+  return ctx;
+}
+
 void BM_CompressSample(benchmark::State& state,
                        compress::Compression codec) {
   sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 82);
   auto s = gen.Generate(0);
-  compress::CodecContext ctx;
-  ctx.row_stride = s.shape[1] * s.shape[2];
-  ctx.elem_size = static_cast<uint32_t>(s.shape[2]);
+  compress::CodecContext ctx = SampleContext(s);
   for (auto _ : state) {
     auto frame = compress::CompressBytes(codec, ByteView(s.pixels), ctx);
     benchmark::DoNotOptimize(frame);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          s.pixels.size());
+}
+
+// Decode of the same sample into a reused buffer, as the loader's pooled
+// chunk-decode path does; bytes/s counts decoded (raw) bytes.
+void BM_DecompressSample(benchmark::State& state,
+                         compress::Compression codec) {
+  sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 82);
+  auto s = gen.Generate(0);
+  auto frame = compress::CompressBytes(codec, ByteView(s.pixels),
+                                       SampleContext(s));
+  if (!frame.ok()) {
+    state.SkipWithError(frame.status().ToString().c_str());
+    return;
+  }
+  ByteBuffer out;
+  for (auto _ : state) {
+    Status st =
+        compress::GetCodec(codec)->DecompressInto(ByteView(*frame), out);
+    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           s.pixels.size());
@@ -87,14 +116,20 @@ int main(int argc, char** argv) {
       !report_st.ok()) {
     std::printf("report error: %s\n", report_st.ToString().c_str());
   }
-  std::printf("\nper-codec compression microbenchmarks "
-              "(google-benchmark):\n");
+  std::printf("\nper-codec compression and decompression "
+              "microbenchmarks (google-benchmark):\n");
 
   benchmark::RegisterBenchmark("compress/lz77", &BM_CompressSample,
                                compress::Compression::kLz77);
   benchmark::RegisterBenchmark("compress/image", &BM_CompressSample,
                                compress::Compression::kImage);
   benchmark::RegisterBenchmark("compress/image_lossy", &BM_CompressSample,
+                               compress::Compression::kImageLossy);
+  benchmark::RegisterBenchmark("decompress/lz77", &BM_DecompressSample,
+                               compress::Compression::kLz77);
+  benchmark::RegisterBenchmark("decompress/image", &BM_DecompressSample,
+                               compress::Compression::kImage);
+  benchmark::RegisterBenchmark("decompress/image_lossy", &BM_DecompressSample,
                                compress::Compression::kImageLossy);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -122,50 +122,87 @@ class Lz77Codec final : public Codec {
     // raw_size comes off the wire: sanity-bound it before allocating.
     // Each frame byte can contribute at most 255 output bytes (a match
     // length extension byte of 255), so anything beyond that ratio is a
-    // corrupt header — reject it instead of attempting a huge reserve.
+    // corrupt header — reject it instead of attempting a huge resize.
     if (raw_size > static_cast<uint64_t>(frame.size()) * 255 + 255) {
       return Status::Corruption("lz77: raw size implausible for frame");
     }
-    out.reserve(static_cast<size_t>(raw_size));
-    while (out.size() < raw_size) {
-      DL_ASSIGN_OR_RETURN(uint8_t token, dec.GetByte());
+    out.resize(static_cast<size_t>(raw_size));
+    const uint8_t* ip = frame.data() + dec.position();
+    const uint8_t* const iend = frame.data() + frame.size();
+    uint8_t* const base = out.data();
+    const size_t n = out.size();
+    size_t op = 0;
+    while (op < n) {
+      if (ip == iend) return Truncated();
+      const uint8_t token = *ip++;
       size_t lit_len = token >> 4;
-      if (lit_len == 15) {
-        while (true) {
-          DL_ASSIGN_OR_RETURN(uint8_t b, dec.GetByte());
-          lit_len += b;
-          if (b != 255) break;
-        }
+      if (lit_len == 15 && !ReadLengthExtension(&ip, iend, &lit_len)) {
+        return Truncated();
       }
-      DL_ASSIGN_OR_RETURN(ByteView lits, dec.GetBytes(lit_len));
-      out.insert(out.end(), lits.begin(), lits.end());
-      if (out.size() >= raw_size) break;  // final literal-only sequence
+      if (lit_len > static_cast<size_t>(iend - ip)) return Truncated();
+      if (lit_len > n - op) {
+        return Status::Corruption("lz77: literals overrun raw size");
+      }
+      std::memcpy(base + op, ip, lit_len);
+      ip += lit_len;
+      op += lit_len;
+      if (op == n) break;  // final literal-only sequence
+      if (iend - ip < 2) return Truncated();
+      const size_t offset =
+          static_cast<size_t>(ip[0]) | (static_cast<size_t>(ip[1]) << 8);
+      ip += 2;
       size_t match_len = token & 0x0f;
-      DL_ASSIGN_OR_RETURN(uint8_t o0, dec.GetByte());
-      DL_ASSIGN_OR_RETURN(uint8_t o1, dec.GetByte());
-      size_t offset = static_cast<size_t>(o0) | (static_cast<size_t>(o1) << 8);
-      if (match_len == 15) {
-        while (true) {
-          DL_ASSIGN_OR_RETURN(uint8_t b, dec.GetByte());
-          match_len += b;
-          if (b != 255) break;
-        }
+      if (match_len == 15 && !ReadLengthExtension(&ip, iend, &match_len)) {
+        return Truncated();
       }
       match_len += kMinMatch;
-      if (offset == 0 || offset > out.size()) {
+      if (offset == 0 || offset > op) {
         return Status::Corruption("lz77: bad match offset");
       }
-      if (out.size() + match_len > raw_size) {
+      if (match_len > n - op) {
         return Status::Corruption("lz77: match overruns raw size");
       }
-      // Byte-wise copy: handles overlapping matches (offset < match_len).
-      size_t src = out.size() - offset;
-      for (size_t k = 0; k < match_len; ++k) out.push_back(out[src + k]);
-    }
-    if (out.size() != raw_size) {
-      return Status::Corruption("lz77: frame shorter than raw size");
+      CopyMatch(base + op, offset, match_len);
+      op += match_len;
     }
     return Status::OK();
+  }
+
+ private:
+  static Status Truncated() {
+    return Status::Corruption("lz77: truncated frame");
+  }
+
+  // Adds the extension bytes that follow a length nibble of 15 (a run of
+  // 255s ended by a byte < 255). False if the frame ends first.
+  static bool ReadLengthExtension(const uint8_t** ip, const uint8_t* iend,
+                                  size_t* len) {
+    while (*ip < iend) {
+      uint8_t b = *(*ip)++;
+      *len += b;
+      if (b != 255) return true;
+    }
+    return false;
+  }
+
+  // Copies `len` bytes from `offset` bytes back to `dst`. A match that
+  // starts at least `len` back does not overlap itself and is one memcpy.
+  // An overlapping match repeats the last `offset` bytes: with offset >= 8
+  // every 8-byte step reads only bytes already written; shorter periods
+  // go byte by byte.
+  static void CopyMatch(uint8_t* dst, size_t offset, size_t len) {
+    const uint8_t* src = dst - offset;
+    if (offset >= len) {
+      std::memcpy(dst, src, len);
+      return;
+    }
+    size_t k = 0;
+    if (offset >= 8) {
+      for (; k + 8 <= len; k += 8) std::memcpy(dst + k, src + k, 8);
+      std::memcpy(dst + k, src + k, len - k);  // tail < 8 <= offset
+      return;
+    }
+    for (; k < len; ++k) dst[k] = src[k];
   }
 };
 

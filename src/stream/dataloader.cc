@@ -1,9 +1,6 @@
 #include "stream/dataloader.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -173,7 +170,15 @@ void Dataloader::Start() {
     // logic can be reused for bookkeeping.
     for (size_t k = 0; k < visit.size(); ++k) units_[visit[k]].seq = k;
   }
-  start_allowance_ = std::max<size_t>(1, options_.prefetch_units);
+  // Sequential decode-ahead is capped at num_workers units past the one
+  // the consumer is draining: each worker runs one unit at a time, so a
+  // deeper window adds no fetch concurrency, only decoded rows waiting in
+  // completed_. Shuffle mode keeps the full window; its reservoir bounds
+  // the decoded rows instead.
+  size_t window = options_.shuffle
+                      ? options_.prefetch_units
+                      : std::min(options_.prefetch_units, options_.num_workers);
+  start_allowance_ = std::max<size_t>(1, window);
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   for (size_t pos = 0; pos < visit.size(); ++pos) {
     const Unit* unit = &units_[visit[pos]];
@@ -355,6 +360,7 @@ void Dataloader::ProcessUnit(const Unit& unit) {
     if (!status.ok() && first_error_.ok()) first_error_ = status;
     if (!options_.shuffle) completed_[unit.seq].done = true;
     units_done_++;
+    if (status.ok() && !abort_) ++stats_.units;
     if (options_.shuffle) ++start_allowance_;
     stats_.fetch_micros += fetch_us;
     stats_.decode_micros += decode_us;
@@ -399,7 +405,6 @@ Result<bool> Dataloader::Next(Batch* out) {
         if (p.done && p.taken == p.rows.size()) {
           completed_.erase(it);
           ++next_seq_;
-          ++stats_.units;
           ++start_allowance_;
           gate_cv_.NotifyAll();
           continue;
@@ -409,12 +414,6 @@ Result<bool> Dataloader::Next(Batch* out) {
       if (next_seq_ >= units_.size()) break;  // drained
     }
     stalled = true;
-    if (getenv("DL_DEBUG_LOADER") != nullptr) {
-      fprintf(stderr, "[loader] waiting: next_seq=%llu units=%zu done=%zu completed={",
-              (unsigned long long)next_seq_, units_.size(), units_done_);
-      for (auto& [k, v] : completed_) fprintf(stderr, "%llu,", (unsigned long long)k);
-      fprintf(stderr, "} pending=%zu\n", pending_rows_.size());
-    }
     ready_cv_.Wait(mu_);
   }
   if (stalled) {

@@ -45,8 +45,15 @@ struct DataloaderOptions {
   /// Rows held in the shuffle reservoir.
   size_t shuffle_buffer_rows = 512;
   uint64_t seed = 42;
-  /// Max work units (≈ chunks) fetched ahead of consumption; bounds
-  /// memory (paper §4.6 "predicting memory consumption").
+  /// Max work units (≈ chunks) started ahead of consumption; bounds
+  /// memory (paper §4.6 "predicting memory consumption"). Sequential
+  /// streams also never run more than `num_workers` units ahead of the
+  /// unit being consumed: each worker decodes one unit at a time, so a
+  /// deeper window would add no fetch concurrency, only decoded rows
+  /// waiting in memory. Decoded rows held ahead of the consumer are thus
+  /// at most min(prefetch_units, num_workers) units' worth plus the batch
+  /// being assembled. Shuffled streams use the full window; their decoded
+  /// rows are bounded by `shuffle_buffer_rows`.
   size_t prefetch_units = 8;
   bool drop_last = false;
   /// Tensors to stream; empty = all visible tensors.
@@ -71,16 +78,16 @@ struct DataloaderOptions {
 /// into the obs::MetricsRegistry, family `loader.*`):
 ///
 ///  - *Consumer-thread-only*: `rows_delivered`, `batches_delivered`,
-///    `stall_micros`, `units` are written exclusively inside Next() while
+///    `stall_micros` are written exclusively inside Next() while
 ///    holding the loader mutex. The consumer thread may read them between
 ///    Next() calls without synchronization; other threads may not.
 ///
-///  - *Mutex-guarded (worker-written)*: `fetch_micros`, `decode_micros`,
-///    `transform_micros`, `transient_errors_recovered` are accumulated by
-///    worker threads under the loader mutex. Read them only after the
-///    epoch has drained (Next() returned false, or the loader was
-///    destroyed) — a mid-epoch read from the consumer thread races with
-///    workers.
+///  - *Mutex-guarded (worker-written)*: `units`, `fetch_micros`,
+///    `decode_micros`, `transform_micros`, `transient_errors_recovered`
+///    are accumulated by worker threads under the loader mutex. Read them
+///    only after the epoch has drained (Next() returned false, or the
+///    loader was destroyed) — a mid-epoch read from the consumer thread
+///    races with workers.
 ///
 /// The per-stage micros sum CPU/IO time *across all workers*: with N
 /// workers their total can legitimately exceed wall time (stages overlap).
@@ -89,7 +96,10 @@ struct DataloaderStats {
   uint64_t batches_delivered = 0;
   /// Time Next() spent blocked waiting for the pipeline.
   int64_t stall_micros = 0;
-  /// Work units (chunk-aligned ranges) processed.
+  /// Work units (chunk-aligned ranges) drained by their worker: every
+  /// row decoded and handed on (to the in-order queue, or to the shuffle
+  /// reservoir). Equals the planned unit count after a full epoch in both
+  /// modes.
   uint64_t units = 0;
   /// Fetches that failed with a retryable error but succeeded on a retry
   /// (max_transient_retries > 0) — the epoch survived these.
@@ -166,7 +176,8 @@ class Dataloader {
   // another dl::Mutex while holding it (registry instruments are atomics).
   Mutex mu_{"stream.dataloader.mu"};
   // Ordered prefetch window: the task at visit position k may start only
-  // once k < start_allowance_. Admission strictly by position prevents
+  // once k < start_allowance_ (initially the window of Start(), then one
+  // more per drained unit). Admission strictly by position prevents
   // later units from stealing window slots from the unit the (in-order)
   // consumer is waiting on — a semaphore here can deadlock by priority
   // inversion.

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "compress/codec.h"
+#include "sim/workload.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dl::compress {
@@ -241,6 +243,78 @@ TEST(ImageCodecTest, BadMagicIsCorruption) {
   ByteBuffer junk = {0x00, 0x01, 0x02};
   auto r = DecompressBytes(Compression::kImage, ByteView(junk));
   EXPECT_TRUE(r.status().IsCorruption());
+}
+
+TEST(ImageCodecTest, GoldenFramesForSmallJpegSeeds) {
+  // The encoder's output is part of the stored format: frames for fixed
+  // generator images must stay byte-identical (CRC-32C of each frame) to
+  // the ones every dataset in this repository was written with.
+  struct Golden {
+    uint64_t seed;
+    uint64_t index;
+    Compression codec;
+    int quality;
+    size_t size;
+    uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {3, 0, Compression::kImage, 0, 40127, 0x466c77c8u},
+      {3, 0, Compression::kImageLossy, 0, 46650, 0xe7bab5ccu},
+      {3, 0, Compression::kImageLossy, 30, 90719, 0xc034b393u},
+      {3, 1, Compression::kImage, 0, 40265, 0x5e038da3u},
+      {3, 1, Compression::kImageLossy, 0, 46918, 0xfa888f6cu},
+      {3, 1, Compression::kImageLossy, 30, 91852, 0xfb49ff07u},
+      {81, 0, Compression::kImage, 0, 40467, 0xb16caf4bu},
+      {81, 0, Compression::kImageLossy, 0, 46471, 0xa2021071u},
+      {81, 0, Compression::kImageLossy, 30, 91776, 0x58df58ecu},
+      {81, 1, Compression::kImage, 0, 40280, 0x97ec10abu},
+      {81, 1, Compression::kImageLossy, 0, 46834, 0x1f8aaaeeu},
+      {81, 1, Compression::kImageLossy, 30, 91342, 0xa321c0b3u},
+  };
+  for (const Golden& g : kGolden) {
+    sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), g.seed);
+    sim::SampleSpec s = gen.Generate(g.index);
+    CodecContext ctx;
+    ctx.row_stride = s.shape[1] * s.shape[2];
+    ctx.elem_size = static_cast<uint32_t>(s.shape[2]);
+    ctx.quality = g.quality;
+    auto frame = CompressBytes(g.codec, ByteView(s.pixels), ctx);
+    ASSERT_TRUE(frame.ok());
+    std::string where = "seed=" + std::to_string(g.seed) +
+                        " index=" + std::to_string(g.index) + " " +
+                        std::string(CompressionName(g.codec)) +
+                        " quality=" + std::to_string(g.quality);
+    EXPECT_EQ(frame->size(), g.size) << where;
+    EXPECT_EQ(Crc32c(ByteView(*frame)), g.crc) << where;
+  }
+}
+
+TEST(ImageCodecTest, IrregularGeometryStillRoundTrips) {
+  // A row stride that does not divide the buffer, or a pixel width that
+  // does not divide the row, is normalised by the encoder to a geometry
+  // the decoder accepts instead of producing an undecodable frame.
+  ByteBuffer raw = MakeData("gradient", 1000, 11);
+  for (auto [stride, bpp] : {std::pair<uint64_t, uint32_t>{96, 3},
+                             {100, 3},
+                             {5000, 4},
+                             {7, 7}}) {
+    CodecContext ctx;
+    ctx.row_stride = stride;
+    ctx.elem_size = bpp;
+    for (Compression c : {Compression::kImage, Compression::kImageLossy}) {
+      auto frame = CompressBytes(c, ByteView(raw), ctx);
+      ASSERT_TRUE(frame.ok());
+      auto info = PeekImageFrameInfo(ByteView(*frame));
+      ASSERT_TRUE(info.ok()) << info.status();
+      EXPECT_EQ(info->raw_bytes, raw.size());
+      auto back = DecompressBytes(c, ByteView(*frame));
+      ASSERT_TRUE(back.ok()) << back.status();
+      ASSERT_EQ(back->size(), raw.size());
+      if (c == Compression::kImage) {
+        EXPECT_EQ(*back, raw);
+      }
+    }
+  }
 }
 
 TEST(RegistryTest, NamesRoundTrip) {

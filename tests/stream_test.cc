@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 
+#include "obs/metrics.h"
 #include "sim/network_model.h"
 #include "storage/storage.h"
 #include "stream/dataloader.h"
@@ -284,6 +288,62 @@ TEST(DataloaderTest, PrefetchHidesStorageLatency) {
   int64_t serial = run(1, 1);
   int64_t parallel = run(8, 16);
   EXPECT_LT(parallel * 2, serial);
+}
+
+TEST(DataloaderTest, UnitsCountedInBothModes) {
+  auto ds = MakeDataset(100, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/4 * 1024);
+  size_t planned = (*ds->GetTensor("images"))->chunk_encoder().num_chunks();
+  ASSERT_GT(planned, 1u);
+  for (bool shuffle : {false, true}) {
+    DataloaderOptions opts;
+    opts.batch_size = 8;
+    opts.num_workers = 3;
+    opts.shuffle = shuffle;
+    Dataloader loader(ds, opts);
+    EXPECT_EQ(DrainLabels(loader).size(), 100u);
+    EXPECT_EQ(loader.stats().units, planned) << "shuffle=" << shuffle;
+  }
+}
+
+TEST(DataloaderTest, SequentialDecodeAheadIsBoundedByWorkers) {
+  // A slow consumer must not let decoded rows pile up to the full
+  // prefetch window: sequential workers run at most num_workers units
+  // ahead of the unit being drained, whatever prefetch_units says.
+  auto ds = MakeDataset(120, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/4 * 1024);
+  const auto& chunks = (*ds->GetTensor("images"))->chunk_encoder().entries();
+  ASSERT_GT(chunks.size(), 8u);
+  uint64_t rows_per_unit = 0;
+  uint64_t first = 0;
+  for (const auto& e : chunks) {
+    rows_per_unit = std::max(rows_per_unit, e.last_index + 1 - first);
+    first = e.last_index + 1;
+  }
+  obs::Gauge* queued =
+      obs::MetricsRegistry::Global().GetGauge("loader.queued_rows");
+  const double before = queued->Value();
+  DataloaderOptions opts;
+  opts.batch_size = 4;
+  opts.num_workers = 2;
+  opts.prefetch_units = 16;
+  Dataloader loader(ds, opts);
+  const double bound = static_cast<double>(
+      opts.num_workers * rows_per_unit + opts.batch_size);
+  double peak = 0;
+  size_t rows = 0;
+  Batch batch;
+  while (true) {
+    peak = std::max(peak, queued->Value() - before);
+    auto more = loader.Next(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    rows += batch.size;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(rows, 120u);
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, bound) << "rows_per_unit=" << rows_per_unit;
 }
 
 TEST(DataloaderTest, StorageErrorsPropagate) {
